@@ -33,6 +33,7 @@ mod overlap;
 mod packet_space;
 mod route_compare;
 mod route_space;
+mod rule_list;
 mod spec;
 
 pub use error::AnalysisError;
@@ -48,7 +49,8 @@ pub use overlap::{
 };
 pub use packet_space::PacketSpace;
 pub use route_compare::{compare_route_policies, policies_equivalent, RouteDiff};
-pub use route_space::{OutputConstraints, RouteSpace};
+pub use route_space::RouteSpace;
+pub use rule_list::{Acls, PrefixLists, RouteMaps, RuleList, StanzaSnippet};
 pub use spec::{verify_stanza_against_spec, SpecVerdict, StanzaSpec};
 
 #[cfg(test)]

@@ -557,118 +557,6 @@ impl RouteSpace {
     }
 }
 
-/// Constraints on the *output* route of a permitting policy, for
-/// [`RouteSpace::search_route_policies_out`] (Batfish's
-/// `searchRoutePolicies` supports the same via `outputConstraints`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OutputConstraints {
-    /// Required MED of the outgoing route.
-    pub metric: Option<u32>,
-    /// Required LOCAL_PREF of the outgoing route.
-    pub local_pref: Option<u32>,
-    /// Required tag of the outgoing route.
-    pub tag: Option<u32>,
-}
-
-impl RouteSpace {
-    /// Finds an input route the policy *permits* whose **output** satisfies
-    /// the given constraints, optionally restricted by an input-side
-    /// constraint. Returns `(input, output)` with the output computed by
-    /// the concrete evaluator.
-    ///
-    /// Exact for the constrained fields: a stanza that sets the field
-    /// contributes its whole firing region iff the set value matches; a
-    /// stanza that leaves it alone contributes the sub-region where the
-    /// *input* already carries the required value.
-    pub fn search_route_policies_out(
-        &mut self,
-        cfg: &Config,
-        name: &str,
-        input_constraint: Option<Ref>,
-        out: &OutputConstraints,
-    ) -> Result<Option<(BgpRoute, BgpRoute)>, AnalysisError> {
-        use clarify_netconfig::RouteMapSet;
-        let map = cfg
-            .route_map(name)
-            .ok_or_else(|| {
-                AnalysisError::Config(clarify_netconfig::ConfigError::NotFound {
-                    kind: "route-map",
-                    name: name.to_string(),
-                })
-            })?
-            .clone();
-        let (fires, _) = self.fire_sets(cfg, &map)?;
-        let mut region = Ref::FALSE;
-        for (stanza, &fire) in map.stanzas.iter().zip(&fires) {
-            if stanza.action != Action::Permit {
-                continue;
-            }
-            // Last assignment wins within a stanza.
-            let mut set_metric = None;
-            let mut set_lp = None;
-            let mut set_tag = None;
-            for s in &stanza.sets {
-                match s {
-                    RouteMapSet::Metric(v) => set_metric = Some(*v),
-                    RouteMapSet::LocalPref(v) => set_lp = Some(*v),
-                    RouteMapSet::Tag(v) => set_tag = Some(*v),
-                    _ => {}
-                }
-            }
-            let mut r = fire;
-            for (want, assigned, field) in [
-                (out.metric, set_metric, "metric"),
-                (out.local_pref, set_lp, "local-preference"),
-                (out.tag, set_tag, "tag"),
-            ] {
-                let Some(w) = want else { continue };
-                match assigned {
-                    Some(v) if v == w => {}
-                    Some(_) => {
-                        r = Ref::FALSE;
-                    }
-                    None => {
-                        // Output equals input: constrain the input field.
-                        let wv = self.field_value(field, w)?;
-                        let vars = match field {
-                            "metric" => self.metric_vars.clone(),
-                            "local-preference" => self.lp_vars.clone(),
-                            _ => self.tag_vars.clone(),
-                        };
-                        let eq = self.mgr.eq_const(&vars, wv);
-                        r = self.mgr.and(r, eq);
-                    }
-                }
-                if r == Ref::FALSE {
-                    break;
-                }
-            }
-            region = self.mgr.or(region, r);
-        }
-        if let Some(c) = input_constraint {
-            region = self.mgr.and(region, c);
-        }
-        let Some(input) = self.witness(region)? else {
-            return Ok(None);
-        };
-        let verdict = cfg.eval_route_map(name, &input)?;
-        // `region` is an OR of permit-stanza fire regions, so any witness
-        // drawn from it must evaluate to a permit; a deny here means the
-        // symbolic encoding diverged from concrete evaluation, which we
-        // surface as an error rather than panicking the caller.
-        let output = verdict
-            .route()
-            .ok_or(AnalysisError::InvariantViolated(
-                "witness from a permit-only region evaluated to deny",
-            ))?
-            .clone();
-        debug_assert!(out.metric.is_none_or(|w| output.metric == w));
-        debug_assert!(out.local_pref.is_none_or(|w| output.local_pref == w));
-        debug_assert!(out.tag.is_none_or(|w| output.tag == w));
-        Ok(Some((input, output)))
-    }
-}
-
 impl RouteSpace {
     /// Up to `limit` pairwise-distinct concrete routes drawn from a
     /// region, by repeated witness extraction with point exclusion.

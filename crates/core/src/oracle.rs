@@ -1,9 +1,9 @@
 //! User oracles: anything that can answer a disambiguation question.
 
-use clarify_netconfig::{Config, RouteMapVerdict};
+use clarify_netconfig::{Acl, Config, PrefixList, RouteMapVerdict};
 
-use crate::disambiguator::DisambiguationQuestion;
 use crate::error::ClarifyError;
+use crate::question::{AclQuestion, DisambiguationQuestion, PrefixQuestion};
 
 /// Which of the two presented behaviours the user wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,11 +16,12 @@ pub enum Choice {
     Second,
 }
 
-/// Anything that can answer the disambiguator's questions: a human at a
-/// terminal, a script, or a ground-truth intent.
-pub trait UserOracle {
+/// Anything that can answer the disambiguator's questions of type `Q`: a
+/// human at a terminal, a script, or a ground-truth intent. The default
+/// is the route-map question.
+pub trait UserOracle<Q = DisambiguationQuestion> {
     /// Answers one differential question.
-    fn choose(&mut self, question: &DisambiguationQuestion) -> Result<Choice, ClarifyError>;
+    fn choose(&mut self, question: &Q) -> Result<Choice, ClarifyError>;
 }
 
 /// Answers from a ground-truth configuration: the desired final policy.
@@ -86,8 +87,8 @@ impl ScriptedOracle {
     }
 }
 
-impl UserOracle for ScriptedOracle {
-    fn choose(&mut self, _q: &DisambiguationQuestion) -> Result<Choice, ClarifyError> {
+impl<Q> UserOracle<Q> for ScriptedOracle {
+    fn choose(&mut self, _q: &Q) -> Result<Choice, ClarifyError> {
         self.answers
             .pop_front()
             .ok_or(ClarifyError::OracleExhausted)
@@ -97,11 +98,54 @@ impl UserOracle for ScriptedOracle {
 /// Adapts a closure into an oracle (handy for interactive CLIs and tests).
 pub struct FnOracle<F>(pub F);
 
-impl<F> UserOracle for FnOracle<F>
+impl<Q, F> UserOracle<Q> for FnOracle<F>
 where
-    F: FnMut(&DisambiguationQuestion) -> Choice,
+    F: FnMut(&Q) -> Choice,
 {
-    fn choose(&mut self, q: &DisambiguationQuestion) -> Result<Choice, ClarifyError> {
+    fn choose(&mut self, q: &Q) -> Result<Choice, ClarifyError> {
         Ok((self.0)(q))
+    }
+}
+
+/// Answers ACL questions from the intended final ACL.
+pub struct AclIntentOracle<'a> {
+    /// The intended final ACL.
+    pub intended: &'a Acl,
+}
+
+impl UserOracle<AclQuestion> for AclIntentOracle<'_> {
+    fn choose(&mut self, q: &AclQuestion) -> Result<Choice, ClarifyError> {
+        let want = self
+            .intended
+            .entries
+            .iter()
+            .find(|e| e.matches(&q.packet))
+            .map_or(clarify_netconfig::Action::Deny, |e| e.action);
+        if want == q.option_first.action {
+            Ok(Choice::First)
+        } else {
+            // Binary actions: if it is not the first option it must be the
+            // second (the two options always differ).
+            debug_assert_eq!(want, q.option_second.action);
+            Ok(Choice::Second)
+        }
+    }
+}
+
+/// Answers prefix-list questions from the intended final list.
+pub struct PrefixIntentOracle<'a> {
+    /// The intended final prefix list.
+    pub intended: &'a PrefixList,
+}
+
+impl UserOracle<PrefixQuestion> for PrefixIntentOracle<'_> {
+    fn choose(&mut self, q: &PrefixQuestion) -> Result<Choice, ClarifyError> {
+        let want = self.intended.permits(&q.prefix);
+        if want == q.first_permits {
+            Ok(Choice::First)
+        } else {
+            debug_assert_eq!(want, q.second_permits);
+            Ok(Choice::Second)
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! The end-to-end Clarify session: English intents in, verified and
 //! correctly placed configuration out, with the paper's Figure 4 counters.
 
+use clarify_analysis::{Acls, RouteMaps};
 use clarify_llm::{Backend, Pipeline, PipelineOutcome};
-use clarify_netconfig::{Acl, Config, RouteMap};
+use clarify_netconfig::Config;
 
-use crate::acl_disambiguator::{insert_acl_with_oracle, AclDisambiguationResult, AclOracle};
-use crate::disambiguator::{DisambiguationResult, Disambiguator};
+use crate::disambiguator::{Disambiguator, InsertionResult};
 use crate::error::ClarifyError;
 use crate::oracle::UserOracle;
+use crate::question::Placeable;
 
 /// Counters matching the paper's Figure 4 columns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,15 +26,15 @@ pub struct SessionStats {
     pub punts: usize,
 }
 
-/// Result of one `add_stanza` interaction.
+/// Result of one [`ClarifySession::add`] interaction.
 #[derive(Clone, Debug)]
-pub enum AddStanzaOutcome {
-    /// The stanza was synthesized, verified, and inserted.
+pub enum AddOutcome<K: Placeable = RouteMaps> {
+    /// The rule was synthesized, verified, and inserted.
     Inserted {
         /// The updated configuration.
         config: Config,
         /// Disambiguator details (position, questions, transcript).
-        result: Box<DisambiguationResult>,
+        result: Box<InsertionResult<K>>,
         /// LLM calls this intent consumed.
         llm_calls: usize,
     },
@@ -45,6 +46,11 @@ pub enum AddStanzaOutcome {
         llm_calls: usize,
     },
 }
+
+/// Result of one `add_stanza` interaction.
+pub type AddStanzaOutcome = AddOutcome<RouteMaps>;
+/// Result of one `add_acl_entry` interaction.
+pub type AddAclOutcome = AddOutcome<Acls>;
 
 /// A long-lived interactive session: one pipeline, one disambiguator, and
 /// running statistics.
@@ -111,75 +117,9 @@ impl<B: Backend> ClarifySession<B> {
         prompt: &str,
         oracle: &mut dyn UserOracle,
     ) -> Result<AddStanzaOutcome, ClarifyError> {
-        let outcome = self.pipeline.synthesize(prompt)?;
-        match outcome {
-            PipelineOutcome::RouteMap {
-                snippet,
-                map_name,
-                llm_calls,
-                ..
-            } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                let mut working = base.clone();
-                if working.route_map(map).is_none() {
-                    working
-                        .route_maps
-                        .insert(map.to_string(), RouteMap::empty(map));
-                }
-                let result = self
-                    .disambiguator
-                    .insert(&working, map, &snippet, &map_name, oracle)?;
-                self.stats.disambiguations += result.questions;
-                self.stats.stanzas_added += 1;
-                record_session_metric("disambiguations", result.questions);
-                record_session_metric("stanzas_added", 1);
-                Ok(AddStanzaOutcome::Inserted {
-                    config: result.config.clone(),
-                    result: Box::new(result),
-                    llm_calls,
-                })
-            }
-            PipelineOutcome::Acl { llm_calls, .. } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
-                    "expected a route-map intent, got an ACL intent".to_string(),
-                )))
-            }
-            PipelineOutcome::Punt { llm_calls, reason } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                self.stats.punts += 1;
-                record_session_metric("punts", 1);
-                Ok(AddStanzaOutcome::Punted { reason, llm_calls })
-            }
-        }
+        self.add::<RouteMaps>(base, map, prompt, oracle)
     }
-}
 
-/// Result of one `add_acl_entry` interaction.
-#[derive(Clone, Debug)]
-pub enum AddAclOutcome {
-    /// The entry was synthesized, verified, and inserted.
-    Inserted {
-        /// The updated configuration.
-        config: Config,
-        /// Disambiguator details.
-        result: Box<AclDisambiguationResult>,
-        /// LLM calls this intent consumed.
-        llm_calls: usize,
-    },
-    /// The synthesis loop exhausted its retries.
-    Punted {
-        /// Why the last attempt failed verification.
-        reason: String,
-        /// LLM calls consumed before punting.
-        llm_calls: usize,
-    },
-}
-
-impl<B: Backend> ClarifySession<B> {
     /// Adds one ACL entry described by `prompt` to `acl_name` in `base`,
     /// creating the ACL when it does not exist yet.
     pub fn add_acl_entry(
@@ -187,55 +127,48 @@ impl<B: Backend> ClarifySession<B> {
         base: &Config,
         acl_name: &str,
         prompt: &str,
-        oracle: &mut dyn AclOracle,
+        oracle: &mut dyn UserOracle<crate::AclQuestion>,
     ) -> Result<AddAclOutcome, ClarifyError> {
-        match self.pipeline.synthesize(prompt)? {
-            PipelineOutcome::Acl {
-                entry, llm_calls, ..
-            } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                let mut working = base.clone();
-                if working.acl(acl_name).is_none() {
-                    working.acls.insert(
-                        acl_name.to_string(),
-                        Acl {
-                            name: acl_name.to_string(),
-                            entries: Vec::new(),
-                        },
-                    );
-                }
-                let result = insert_acl_with_oracle(
-                    &working,
-                    acl_name,
-                    &entry,
-                    self.disambiguator.strategy,
-                    oracle,
-                )?;
-                self.stats.disambiguations += result.questions;
-                self.stats.stanzas_added += 1;
-                record_session_metric("disambiguations", result.questions);
-                record_session_metric("stanzas_added", 1);
-                Ok(AddAclOutcome::Inserted {
-                    config: result.config.clone(),
-                    result: Box::new(result),
-                    llm_calls,
-                })
-            }
-            PipelineOutcome::RouteMap { llm_calls, .. } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
-                    "expected an ACL intent, got a route-map intent".to_string(),
-                )))
-            }
-            PipelineOutcome::Punt { llm_calls, reason } => {
-                self.stats.llm_calls += llm_calls;
-                record_session_metric("llm_calls", llm_calls);
-                self.stats.punts += 1;
-                record_session_metric("punts", 1);
-                Ok(AddAclOutcome::Punted { reason, llm_calls })
-            }
+        self.add::<Acls>(base, acl_name, prompt, oracle)
+    }
+
+    /// Synthesizes one rule of kind `K` from `prompt` and places it into
+    /// the list `name` of `base`, creating the list when it does not exist
+    /// yet. An intent of another kind is an error.
+    pub fn add<K: Placeable>(
+        &mut self,
+        base: &Config,
+        name: &str,
+        prompt: &str,
+        oracle: &mut dyn UserOracle<K::Question>,
+    ) -> Result<AddOutcome<K>, ClarifyError> {
+        let outcome = self.pipeline.synthesize(prompt)?;
+        let llm_calls = outcome.llm_calls();
+        self.stats.llm_calls += llm_calls;
+        record_session_metric("llm_calls", llm_calls);
+        if let PipelineOutcome::Punt { reason, .. } = outcome {
+            self.stats.punts += 1;
+            record_session_metric("punts", 1);
+            return Ok(AddOutcome::Punted { reason, llm_calls });
         }
+        let Some(rule) = K::synthesized(outcome) else {
+            return Err(ClarifyError::Llm(clarify_llm::LlmError::UnsupportedQuery(
+                K::WRONG_INTENT.to_string(),
+            )));
+        };
+        let mut working = base.clone();
+        K::ensure_list(&mut working, name);
+        let result = self
+            .disambiguator
+            .place::<K>(&working, name, rule, oracle)?;
+        self.stats.disambiguations += result.questions;
+        self.stats.stanzas_added += 1;
+        record_session_metric("disambiguations", result.questions);
+        record_session_metric("stanzas_added", 1);
+        Ok(AddOutcome::Inserted {
+            config: result.config.clone(),
+            result: Box::new(result),
+            llm_calls,
+        })
     }
 }

@@ -189,11 +189,24 @@ fn lint_prune_skips_shadowed_candidates_without_changing_result() {
     let pruned = Disambiguator::new(PlacementStrategy::BinarySearch)
         .insert(&base, "RM", &snip, "NEW", &mut oracle)
         .unwrap();
+    // The unpruned reference: the same planner with the prune skipped.
     let mut oracle = IntentOracle::new(&intended, "RM");
-    let unpruned = Disambiguator::new(PlacementStrategy::BinarySearch)
-        .with_lint_prune(false)
-        .insert(&base, "RM", &snip, "NEW", &mut oracle)
-        .unwrap();
+    let mut space = clarify_analysis::RouteSpace::new(&[&base, &snip]).unwrap();
+    let rule = crate::StanzaSnippet {
+        config: snip.clone(),
+        map: "NEW".to_string(),
+    };
+    let unpruned = crate::disambiguator::plan_with::<crate::RouteMaps>(
+        &mut space,
+        &base,
+        "RM",
+        rule,
+        PlacementStrategy::BinarySearch,
+        false,
+    )
+    .unwrap()
+    .drive(&mut oracle)
+    .unwrap();
 
     // All four stanzas overlap the snippet's match set, but only stanza 10
     // can actually fire on it; the other three boundaries are pruned
@@ -513,8 +526,7 @@ mod model_tests {
 mod acl_tests {
     use super::*;
     use crate::{
-        insert_acl_with_oracle, verify_acl_against_intent, AclIntentOracle, AddAclOutcome,
-        FnAclOracle,
+        insert_acl_with_oracle, verify_acl_against_intent, AclIntentOracle, AddAclOutcome, FnOracle,
     };
     use clarify_netconfig::insert_acl_entry;
 
@@ -565,7 +577,7 @@ ip access-list extended EDGE
     fn acl_no_overlap_appends_without_questions() {
         let base = Config::parse("ip access-list extended A\n permit udp any any eq 53\n").unwrap();
         let entry = new_entry(); // tcp: disjoint from udp:53
-        let mut oracle = FnAclOracle(|_: &crate::AclQuestion| panic!("no question expected"));
+        let mut oracle = FnOracle(|_: &crate::AclQuestion| panic!("no question expected"));
         let result = insert_acl_with_oracle(
             &base,
             "A",
@@ -639,7 +651,7 @@ ip access-list extended EDGE
     #[test]
     fn session_creates_missing_acl() {
         let mut session = ClarifySession::new(SemanticBackend::new(), 3, Disambiguator::default());
-        let mut oracle = FnAclOracle(|_: &crate::AclQuestion| panic!("no question expected"));
+        let mut oracle = FnOracle(|_: &crate::AclQuestion| panic!("no question expected"));
         let out = session
             .add_acl_entry(
                 &Config::new(),
@@ -752,7 +764,7 @@ ip prefix-list PL seq 15 deny 192.168.0.0/16 le 32
             range: "172.16.0.0/12 le 24".parse().unwrap(),
         };
         struct Panic;
-        impl crate::PrefixOracle for Panic {
+        impl crate::UserOracle<crate::PrefixQuestion> for Panic {
             fn choose(
                 &mut self,
                 _q: &crate::PrefixQuestion,

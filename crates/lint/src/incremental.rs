@@ -23,16 +23,14 @@
 use std::collections::BTreeSet;
 
 use clarify_analysis::{
-    atom_env_hash, AnalysisError, FireSetCache, PacketSpace, PrefixSpace, RouteSpace,
+    atom_env_hash, Acls, AnalysisError, FireSetCache, PacketSpace, PrefixLists, PrefixSpace,
+    RouteMaps, RouteSpace, RuleList,
 };
 use clarify_netconfig::{fnv1a64_combine, Config, ObjectHashes, ObjectKind, RouteMap, SourceMap};
 
 use crate::cache::LintCache;
 use crate::diagnostic::{Diagnostic, LintReport};
-use crate::linter::{
-    lint_acls, lint_one_acl, lint_one_prefix_list, lint_one_route_map, lint_prefix_lists,
-    lint_references, lint_route_maps,
-};
+use crate::linter::{lint_list, lint_lists, lint_references};
 
 /// What an incremental run did, for `--stats` and the O(edit) assertions
 /// of the differential suite.
@@ -189,15 +187,15 @@ pub fn lint_config_incremental(
     // full pass (broken maps drop out inside, exactly as they do there).
     let fresh_maps = {
         let _pass = clarify_obs::span!("lint_route_maps");
-        lint_route_maps(cfg, &broken_maps, Some(&dirty.route_maps))?
+        lint_lists::<RouteMaps>(cfg, &broken_maps, Some(&dirty.route_maps))?
     };
     let fresh_acls = {
         let _pass = clarify_obs::span!("lint_acls");
-        lint_acls(cfg, Some(&dirty.acls))
+        lint_lists::<Acls>(cfg, &BTreeSet::new(), Some(&dirty.acls))?
     };
     let fresh_lists = {
         let _pass = clarify_obs::span!("lint_prefix_lists");
-        lint_prefix_lists(cfg, Some(&dirty.prefix_lists))?
+        lint_lists::<PrefixLists>(cfg, &BTreeSet::new(), Some(&dirty.prefix_lists))?
     };
 
     splice(
@@ -334,67 +332,39 @@ impl IncrementalLinter {
             lint_references(&cfg, &mut report.diagnostics)
         };
 
-        let mut fresh_maps: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.route_maps {
-            if broken_maps.contains(name) {
-                continue;
-            }
-            let space = match &mut self.route_space {
-                Some(s) => s,
-                None => self.route_space.insert(RouteSpace::new(&[&cfg])?),
-            };
-            let map = &cfg.route_maps[name];
-            let own = hashes
-                .get(ObjectKind::RouteMap, name)
-                .expect("map is in cfg");
-            let hash = route_map_fire_key(map, &hashes, own);
-            let mut diags = Vec::new();
-            lint_one_route_map(
-                space,
-                &cfg,
-                name,
-                map,
-                Some((&mut self.route_fires, hash)),
-                &mut diags,
-            )?;
-            space.manager().clear_op_caches();
-            fresh_maps.push((name.clone(), diags));
-        }
-        let mut fresh_acls: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.acls {
-            let space = self.packet_space.get_or_insert_with(PacketSpace::new);
-            let acl = &cfg.acls[name];
-            let hash = hashes.get(ObjectKind::Acl, name).expect("acl is in cfg");
-            let mut diags = Vec::new();
-            lint_one_acl(
-                space,
-                &cfg,
-                name,
-                acl,
-                Some((&mut self.packet_fires, hash)),
-                &mut diags,
-            );
-            space.manager().clear_op_caches();
-            fresh_acls.push((name.clone(), diags));
-        }
-        let mut fresh_lists: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        for name in &dirty.prefix_lists {
-            let space = self.prefix_space.get_or_insert_with(PrefixSpace::new);
-            let list = &cfg.prefix_lists[name];
-            let hash = hashes
-                .get(ObjectKind::PrefixList, name)
-                .expect("list is in cfg");
-            let mut diags = Vec::new();
-            lint_one_prefix_list(
-                space,
-                name,
-                list,
-                Some((&mut self.prefix_fires, hash)),
-                &mut diags,
-            )?;
-            space.manager().clear_op_caches();
-            fresh_lists.push((name.clone(), diags));
-        }
+        let fresh_maps = relint_lists::<RouteMaps>(
+            &mut self.route_space,
+            &mut self.route_fires,
+            &cfg,
+            &dirty.route_maps,
+            &broken_maps,
+            |name, map| {
+                let own = hashes
+                    .get(ObjectKind::RouteMap, name)
+                    .expect("map is in cfg");
+                route_map_fire_key(map, &hashes, own)
+            },
+        )?;
+        let fresh_acls = relint_lists::<Acls>(
+            &mut self.packet_space,
+            &mut self.packet_fires,
+            &cfg,
+            &dirty.acls,
+            &BTreeSet::new(),
+            |name, _| hashes.get(ObjectKind::Acl, name).expect("acl is in cfg"),
+        )?;
+        let fresh_lists = relint_lists::<PrefixLists>(
+            &mut self.prefix_space,
+            &mut self.prefix_fires,
+            &cfg,
+            &dirty.prefix_lists,
+            &BTreeSet::new(),
+            |name, _| {
+                hashes
+                    .get(ObjectKind::PrefixList, name)
+                    .expect("list is in cfg")
+            },
+        )?;
 
         splice(
             cfg.route_maps.keys(),
@@ -450,4 +420,37 @@ impl IncrementalLinter {
         self.cfg = cfg;
         Ok((report, stats))
     }
+}
+
+/// Re-lints the `dirty` lists of kind `K` (less those in `skip`) serially
+/// on the session's retained space, through the kind's keyed fire-set
+/// cache; `fire_key` gives each list's cache key.
+fn relint_lists<K: RuleList>(
+    space: &mut Option<K::Space>,
+    fires: &mut FireSetCache,
+    cfg: &Config,
+    dirty: &BTreeSet<String>,
+    skip: &BTreeSet<String>,
+    fire_key: impl Fn(&str, &K::List) -> u64,
+) -> Result<Vec<(String, Vec<Diagnostic>)>, AnalysisError> {
+    let mut fresh = Vec::new();
+    for name in dirty.iter().filter(|name| !skip.contains(*name)) {
+        let space = match space {
+            Some(s) => s,
+            None => space.insert(K::new_space(cfg, None)?),
+        };
+        let list = &K::lists(cfg)[name];
+        let mut diags = Vec::new();
+        lint_list::<K>(
+            space,
+            cfg,
+            name,
+            list,
+            Some((&mut *fires, fire_key(name, list))),
+            &mut diags,
+        )?;
+        K::manager(space).clear_op_caches();
+        fresh.push((name.clone(), diags));
+    }
+    Ok(fresh)
 }

@@ -35,12 +35,19 @@
 //! prefix) where one exists, so a diagnostic is never just "the BDDs say
 //! so" — it names an input you can replay through the reference evaluator.
 //!
+//! L001–L004 are written once, generic over
+//! [`RuleList`](clarify_analysis::RuleList): one per-list body and one
+//! parallel driver serve route-maps, ACLs and prefix lists, which differ
+//! only in space, wording and overlap source.
+//!
 //! The same firing-region analysis behind L001 powers
 //! [`prune_insertion_candidates`]: the disambiguator in `clarify-core`
-//! uses it to discard insertion positions where the new stanza would be
-//! shadowed, which provably cannot change the chosen configuration but
-//! cuts the number of expensive placement comparisons (and thus keeps the
-//! question count minimal).
+//! uses it, for every kind, to discard insertion positions where the new
+//! rule would be shadowed, which provably cannot change the chosen
+//! configuration but cuts the number of expensive placement comparisons.
+//!
+//! The [`cli`] module is the lint command line, shared by the standalone
+//! `lint` binary and `clarify lint`.
 //!
 //! ```
 //! use clarify_lint::{lint_config, LintCode};
@@ -60,6 +67,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub mod cli;
 mod diagnostic;
 mod incremental;
 mod linter;
@@ -73,9 +81,7 @@ pub use diagnostic::{Diagnostic, LintCode, LintReport, Severity};
 pub use incremental::{lint_config_incremental, IncrStats, IncrementalLinter};
 pub use linter::lint_config;
 pub use network::{NetworkLintReport, NetworkLinter, RouterLint};
-pub use prune::{
-    prune_acl_candidates, prune_insertion_candidates, prune_prefix_candidates, PruneOutcome,
-};
+pub use prune::{prune_insertion_candidates, PruneOutcome};
 pub use sarif::{render_sarif, render_sarif_network};
 pub use suppress::{apply_suppressions, suppression_targets};
 

@@ -17,9 +17,9 @@
 //! comparison. Pruning therefore cannot change which configuration the
 //! disambiguator produces; it only removes provably-redundant work.
 
-use clarify_analysis::{AnalysisError, PacketSpace, PrefixSpace, RouteSpace};
+use clarify_analysis::{AnalysisError, RuleList};
 use clarify_bdd::Ref;
-use clarify_netconfig::{Acl, Config, PrefixList, RouteMap};
+use clarify_netconfig::Config;
 
 /// Which candidates survived the prune.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,62 +30,25 @@ pub struct PruneOutcome {
     pub pruned: Vec<usize>,
 }
 
-impl PruneOutcome {
-    fn split(fires: &[Ref], mut intersects: impl FnMut(Ref) -> bool, candidates: &[usize]) -> Self {
-        let mut out = PruneOutcome::default();
-        for &i in candidates {
-            if intersects(fires[i]) {
-                out.kept.push(i);
-            } else {
-                out.pruned.push(i);
-            }
-        }
-        out
-    }
-}
-
-/// Prunes route-map insertion candidates (stanza indices into `map`)
-/// against the new stanza's valid match set `s_star`. Keeps candidate `i`
-/// iff `s_star ∧ fire_i ≠ ⊥`.
-pub fn prune_insertion_candidates(
-    space: &mut RouteSpace,
+/// Prunes insertion candidates (rule indices into `list`, a list of kind
+/// `K` in `cfg`) against the new rule's valid match set `s_star`. Keeps
+/// candidate `i` iff `s_star ∧ fire_i ≠ ⊥`.
+pub fn prune_insertion_candidates<K: RuleList>(
+    space: &mut K::Space,
     cfg: &Config,
-    map: &RouteMap,
+    list: &K::List,
     s_star: Ref,
     candidates: &[usize],
 ) -> Result<PruneOutcome, AnalysisError> {
-    let (fires, _) = space.fire_sets(cfg, map)?;
+    let fires = K::fire_sets(space, cfg, list, None)?;
+    let mgr = K::manager(space);
     let mut out = PruneOutcome::default();
     for &i in candidates {
-        if space.manager().and(s_star, fires[i]) != Ref::FALSE {
+        if mgr.and(s_star, fires[i]) != Ref::FALSE {
             out.kept.push(i);
         } else {
             out.pruned.push(i);
         }
     }
     Ok(out)
-}
-
-/// The ACL analogue of [`prune_insertion_candidates`].
-pub fn prune_acl_candidates(
-    space: &mut PacketSpace,
-    acl: &Acl,
-    s_star: Ref,
-    candidates: &[usize],
-) -> PruneOutcome {
-    let (fires, _) = space.fire_sets(acl);
-    let mgr = space.manager();
-    PruneOutcome::split(&fires, |f| mgr.and(s_star, f) != Ref::FALSE, candidates)
-}
-
-/// The prefix-list analogue of [`prune_insertion_candidates`].
-pub fn prune_prefix_candidates(
-    space: &mut PrefixSpace,
-    list: &PrefixList,
-    s_star: Ref,
-    candidates: &[usize],
-) -> PruneOutcome {
-    let (fires, _) = space.fire_sets(list);
-    let mgr = space.manager();
-    PruneOutcome::split(&fires, |f| mgr.and(s_star, f) != Ref::FALSE, candidates)
 }

@@ -210,7 +210,7 @@ route-map USE permit 10
 }
 
 mod prune {
-    use clarify_analysis::{policies_equivalent, RouteSpace};
+    use clarify_analysis::{policies_equivalent, RouteMaps, RouteSpace};
     use clarify_bdd::Ref;
     use clarify_netconfig::{insert_route_map_stanza, Config};
 
@@ -260,7 +260,8 @@ route-map SNIP permit 10
         assert_eq!(candidates, vec![0, 1, 2, 3]);
 
         let outcome =
-            prune_insertion_candidates(&mut space, &base, &map, s_star, &candidates).unwrap();
+            prune_insertion_candidates::<RouteMaps>(&mut space, &base, &map, s_star, &candidates)
+                .unwrap();
         // Stanza 10 (deny 10/8) captures the snippet's whole match space,
         // so at stanzas 20/30/40 the snippet could never fire: pruned.
         assert_eq!(outcome.kept, vec![0]);
@@ -281,7 +282,8 @@ route-map SNIP permit 10
         let s_star = space.manager().and(raw, valid);
         let candidates: Vec<usize> = (0..map.stanzas.len()).collect();
         let outcome =
-            prune_insertion_candidates(&mut space, &base, &map, s_star, &candidates).unwrap();
+            prune_insertion_candidates::<RouteMaps>(&mut space, &base, &map, s_star, &candidates)
+                .unwrap();
         for &i in &outcome.pruned {
             let (above, _) = insert_route_map_stanza(&base, "RM", &snippet, "SNIP", i).unwrap();
             let (below, _) = insert_route_map_stanza(&base, "RM", &snippet, "SNIP", i + 1).unwrap();
@@ -787,7 +789,15 @@ route-map RM permit 30
         let mut space = RouteSpace::new(&[&cfg]).unwrap();
 
         let mut before = Vec::new();
-        crate::linter::lint_one_route_map(&mut space, &cfg, "RM", &map, None, &mut before).unwrap();
+        crate::linter::lint_list::<clarify_analysis::RouteMaps>(
+            &mut space,
+            &cfg,
+            "RM",
+            &map,
+            None,
+            &mut before,
+        )
+        .unwrap();
         assert!(
             before.iter().any(|d| d.witness.is_some()),
             "expected witness-bearing diagnostics, got {before:?}"
@@ -800,7 +810,10 @@ route-map RM permit 30
         assert!(space.manager().stats().reorder_runs >= 1);
 
         let mut after = Vec::new();
-        crate::linter::lint_one_route_map(&mut space, &cfg, "RM", &map, None, &mut after).unwrap();
+        crate::linter::lint_list::<clarify_analysis::RouteMaps>(
+            &mut space, &cfg, "RM", &map, None, &mut after,
+        )
+        .unwrap();
         assert_eq!(before, after, "diagnostics changed across reorder");
     }
 }

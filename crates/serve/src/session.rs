@@ -15,14 +15,14 @@
 //! session state only mutates when a replay runs to completion, so a
 //! half-answered turn can be resumed or abandoned safely.
 
-use clarify_analysis::{atom_env_hash, PacketSpace, RouteSpace};
+use clarify_analysis::{atom_env_hash, Acls, PacketSpace, RouteMaps, RouteSpace, RuleList};
 use clarify_core::{
-    AclInsertionPlan, AclPlanStep, Choice, ClarifyError, DisambiguationQuestion, Disambiguator,
-    InsertionPlan, Invariant, NetworkSession, NetworkUpdateOutcome, PlanStep, UserOracle,
+    Choice, ClarifyError, DisambiguationQuestion, Disambiguator, InsertionPlan, Invariant,
+    NetworkSession, NetworkUpdateOutcome, Placeable, PlanStep, Question, UserOracle,
 };
 use clarify_lint::IncrementalLinter;
 use clarify_llm::{BackendStack, DynBackend, LlmError, Pipeline, PipelineOutcome};
-use clarify_netconfig::{Acl, Config, RouteMap};
+use clarify_netconfig::Config;
 
 use crate::proto::{string_array, Frame, ProtoError};
 
@@ -129,17 +129,16 @@ impl SessionKind {
 }
 
 /// A pending (question asked, not yet fully answered) insertion turn.
+struct Turn<K: Placeable> {
+    plan: Box<InsertionPlan<K>>,
+    answers: Vec<Choice>,
+    llm_calls: usize,
+}
+
+/// The pending turn of a config session, of either kind.
 enum Pending {
-    RouteMap {
-        plan: Box<InsertionPlan>,
-        answers: Vec<Choice>,
-        llm_calls: usize,
-    },
-    Acl {
-        plan: Box<AclInsertionPlan>,
-        answers: Vec<Choice>,
-        llm_calls: usize,
-    },
+    RouteMap(Turn<RouteMaps>),
+    Acl(Turn<Acls>),
 }
 
 /// A single-config session.
@@ -197,11 +196,7 @@ impl ConfigSession {
                 ..
             } => {
                 let mut working = self.config.clone();
-                if working.route_map(target).is_none() {
-                    working
-                        .route_maps
-                        .insert(target.to_string(), RouteMap::empty(target));
-                }
+                RouteMaps::ensure_list(&mut working, target);
                 // Warm-space reuse: valid whenever the atom environment
                 // (the regex pattern set) of [working, snippet] matches
                 // the stored space's — equal hash ⇒ identical variable
@@ -220,26 +215,18 @@ impl ConfigSession {
                 // turn's garbage — warm sessions keep a flat arena.
                 space.manager().clear_op_caches();
                 self.route_space = Some((hash, space));
-                self.pending = Some(Pending::RouteMap {
+                self.pending = Some(Pending::RouteMap(Turn {
                     plan: Box::new(plan),
                     answers: Vec::new(),
                     llm_calls,
-                });
+                }));
                 self.progress(session)
             }
             PipelineOutcome::Acl {
                 entry, llm_calls, ..
             } => {
                 let mut working = self.config.clone();
-                if working.acl(target).is_none() {
-                    working.acls.insert(
-                        target.to_string(),
-                        Acl {
-                            name: target.to_string(),
-                            entries: Vec::new(),
-                        },
-                    );
-                }
+                Acls::ensure_list(&mut working, target);
                 let plan = clarify_core::plan_acl_in_space(
                     &mut self.packet_space,
                     &working,
@@ -250,11 +237,11 @@ impl ConfigSession {
                 .map_err(internal)?;
                 // Same turn-boundary collection as the route-map path.
                 self.packet_space.manager().clear_op_caches();
-                self.pending = Some(Pending::Acl {
+                self.pending = Some(Pending::Acl(Turn {
                     plan: Box::new(plan),
                     answers: Vec::new(),
                     llm_calls,
-                });
+                }));
                 self.progress(session)
             }
             PipelineOutcome::Punt { llm_calls, reason } => Ok(Frame::ok(true)
@@ -273,7 +260,8 @@ impl ConfigSession {
                 code: "no-turn",
                 message: "no question is pending on this session".to_string(),
             }),
-            Some(Pending::RouteMap { answers, .. }) | Some(Pending::Acl { answers, .. }) => {
+            Some(Pending::RouteMap(Turn { answers, .. }))
+            | Some(Pending::Acl(Turn { answers, .. })) => {
                 answers.push(choice);
                 self.progress(session)
             }
@@ -283,79 +271,45 @@ impl ConfigSession {
     /// Replays the pending plan against its answers: either the next
     /// question, or completion (which commits the new configuration).
     fn progress(&mut self, session: u64) -> TurnResult {
-        let pending = self
+        match self
             .pending
             .take()
-            .expect("progress requires a pending turn");
-        match pending {
-            Pending::RouteMap {
-                plan,
-                answers,
-                llm_calls,
-            } => match plan.step(&answers) {
-                PlanStep::Ask { number, question } => {
-                    let frame = question_frame(
-                        session,
-                        number,
-                        question.pivot_seq as u64,
-                        &question.to_string(),
-                    );
-                    self.pending = Some(Pending::RouteMap {
-                        plan,
-                        answers,
-                        llm_calls,
-                    });
-                    Ok(frame)
-                }
-                PlanStep::Done { .. } => {
-                    let result = plan.finish(&answers).map_err(internal)?;
-                    self.config = result.config.clone();
-                    self.route_space = None; // config changed: atom env may have too
-                    Ok(Frame::ok(true)
-                        .bool("done", true)
-                        .u64("session", session)
-                        .str("result", "inserted")
-                        .u64("position", result.position as u64)
-                        .u64("questions", result.questions as u64)
-                        .u64("llm_calls", llm_calls as u64)
-                        .str("config", &result.config.to_string())
-                        .finish())
-                }
-            },
-            Pending::Acl {
-                plan,
-                answers,
-                llm_calls,
-            } => match plan.step(&answers) {
-                AclPlanStep::Ask { number, question } => {
-                    let frame = question_frame(
-                        session,
-                        number,
-                        question.pivot_index as u64,
-                        &question.to_string(),
-                    );
-                    self.pending = Some(Pending::Acl {
-                        plan,
-                        answers,
-                        llm_calls,
-                    });
-                    Ok(frame)
-                }
-                AclPlanStep::Done { .. } => {
-                    let result = plan.finish(&answers).map_err(internal)?;
-                    self.config = result.config.clone();
-                    self.route_space = None;
-                    Ok(Frame::ok(true)
-                        .bool("done", true)
-                        .u64("session", session)
-                        .str("result", "inserted")
-                        .u64("position", result.position as u64)
-                        .u64("questions", result.questions as u64)
-                        .u64("llm_calls", llm_calls as u64)
-                        .str("config", &result.config.to_string())
-                        .finish())
-                }
-            },
+            .expect("progress requires a pending turn")
+        {
+            Pending::RouteMap(turn) => self.progress_turn(session, turn, Pending::RouteMap),
+            Pending::Acl(turn) => self.progress_turn(session, turn, Pending::Acl),
+        }
+    }
+
+    /// [`progress`](Self::progress) for one kind; `pending` re-wraps the
+    /// turn while a question is outstanding.
+    fn progress_turn<K: Placeable>(
+        &mut self,
+        session: u64,
+        turn: Turn<K>,
+        pending: fn(Turn<K>) -> Pending,
+    ) -> TurnResult {
+        match turn.plan.step(&turn.answers) {
+            PlanStep::Ask { number, question } => {
+                let frame =
+                    question_frame(session, number, question.pivot(), &question.to_string());
+                self.pending = Some(pending(turn));
+                Ok(frame)
+            }
+            PlanStep::Done { .. } => {
+                let result = turn.plan.finish(&turn.answers).map_err(internal)?;
+                self.config = result.config.clone();
+                self.route_space = None; // config changed: atom env may have too
+                Ok(Frame::ok(true)
+                    .bool("done", true)
+                    .u64("session", session)
+                    .str("result", "inserted")
+                    .u64("position", result.position as u64)
+                    .u64("questions", result.questions as u64)
+                    .u64("llm_calls", turn.llm_calls as u64)
+                    .str("config", &result.config.to_string())
+                    .finish())
+            }
         }
     }
 

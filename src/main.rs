@@ -16,14 +16,14 @@
 //!     Print concrete routes on which the two versions of the route-map
 //!     behave differently (differential verification).
 //!
-//! clarify lint [--format human|json|sarif] [--no-suppress]
+//! clarify lint [--format human|json|sarif] [--strict] [--no-suppress]
 //!              [--incremental PREV] [--save-cache PATH] <config-file>...
 //!     Symbolic lint: shadowed, redundant, empty, and conflicting rules,
 //!     plus dangling/unused references, with concrete witnesses. With
 //!     `--incremental`, re-lints against a cache from an earlier
 //!     `--save-cache` run, recomputing only the objects the edit touched.
 //!
-//! clarify lint --topology <topology-file> [--format ...] [--no-suppress]
+//! clarify lint --topology <topology-file> [--format ...] [--strict] [--no-suppress]
 //!     Cross-device lint: per-config checks on every router plus the
 //!     session-composition checks L007-L011 (dead-by-upstream, route
 //!     leaks, asymmetric sessions, orphan communities, black holes).
@@ -39,7 +39,8 @@ use clarify::analysis::{
     PacketSpace, RouteSpace,
 };
 use clarify::core::{
-    insert_acl_with_oracle, Choice, Disambiguator, FnAclOracle, FnOracle, PlacementStrategy,
+    Acls, Choice, Disambiguator, FnOracle, Placeable, PlacementStrategy, Question, RouteMaps,
+    StanzaSnippet,
 };
 use clarify::llm::{
     BackendKind, BackendStack, Pipeline, PipelineOutcome, SessionMeta, Transcript, TranscriptError,
@@ -158,7 +159,7 @@ fn run(args: &[String], backend: &BackendOpts) -> ExitCode {
         Some("ask-acl") => ask(&args[1..], true, backend),
         Some("compare") => compare(&args[1..]),
         Some("chain") => chain(&args[1..]),
-        Some("lint") => return lint(&args[1..]),
+        Some("lint") => return clarify::lint::cli::run(&args[1..]),
         Some("serve") => serve(&args[1..], backend),
         None if backend.replay.is_some() => {
             return replay_session(backend.replay.as_deref().expect("checked"), backend)
@@ -185,9 +186,9 @@ usage:
   clarify ask-acl <config-file> <acl> <english intent...>
   clarify compare <file-a> <file-b> <route-map> [limit]
   clarify chain <config-file> <route-map> <route-map>...
-  clarify lint [--format human|json|sarif] [--no-suppress]
+  clarify lint [--format human|json|sarif] [--strict] [--no-suppress]
                [--incremental PREV] [--save-cache PATH] <config-file>...
-  clarify lint --topology <topology-file> [--format F] [--no-suppress]
+  clarify lint --topology <topology-file> [--format F] [--strict] [--no-suppress]
   clarify serve [--addr HOST:PORT] [--max-sessions N] [--idle-timeout SECS]
   clarify --replay-transcript <FILE>
       re-run the session recorded in FILE offline: the LLM exchanges, the
@@ -214,20 +215,8 @@ options:
                       or format mismatch) falls back to the live backend
                       with a warning, a corrupt file is an error
 
-lint options:
-  --format <F>        output format: human (default), json, or sarif
-                      (SARIF 2.1.0); --json is shorthand for --format json
-  --topology <FILE>   lint a whole topology: per-config checks plus the
-                      cross-device checks L007-L011 (config paths resolve
-                      relative to FILE's directory)
-  --no-suppress       ignore inline '! lint-allow L0xx' suppressions
-  --incremental <PREV> re-lint against the cache PREV (from --save-cache):
-                      only objects the edit touched are recomputed, cached
-                      findings are spliced for the rest; requires exactly
-                      one config file. A stale cache falls back to a full
-                      lint with a warning; a corrupt one is an error.
-  --save-cache <PATH> write this run's lint cache to PATH for a later
-                      --incremental
+lint options: see `clarify lint --help` (the same flags as the standalone
+`lint` binary; exit status 0 clean, 1 findings, 2 usage or parse errors)
 
 serve options:
   --addr <HOST:PORT>  bind address (default 127.0.0.1:4545; port 0 picks
@@ -584,22 +573,11 @@ fn run_ask(
         ) => {
             println!("synthesized and verified in {llm_calls} LLM calls:\n{snippet}");
             println!("specification: {}\n", spec.to_json());
-            let mut oracle = FnOracle(|q: &clarify::core::DisambiguationQuestion| {
-                println!(
-                    "The new stanza interacts with existing stanza {}. For this route:\n\n{q}\n",
-                    q.pivot_seq
-                );
-                choose()
-            });
-            let result = Disambiguator::new(PlacementStrategy::BinarySearch)
-                .insert(base, target, &snippet, &map_name, &mut oracle)
-                .map_err(|e| e.to_string())?;
-            println!(
-                "\nplaced at position {} after {} question(s); updated configuration:\n",
-                result.position, result.questions
-            );
-            println!("{}", result.config);
-            Ok(())
+            let rule = StanzaSnippet {
+                config: snippet,
+                map: map_name,
+            };
+            place::<RouteMaps>(base, target, rule, choose)
         }
         (
             PipelineOutcome::Acl {
@@ -608,27 +586,7 @@ fn run_ask(
             true,
         ) => {
             println!("synthesized and verified in {llm_calls} LLM calls:\n{entry}\n");
-            let mut oracle = FnAclOracle(|q: &clarify::core::AclQuestion| {
-                println!(
-                    "The new entry interacts with existing entry {}. For this packet:\n\n{q}\n",
-                    q.pivot_index
-                );
-                choose()
-            });
-            let result = insert_acl_with_oracle(
-                base,
-                target,
-                &entry,
-                PlacementStrategy::BinarySearch,
-                &mut oracle,
-            )
-            .map_err(|e| e.to_string())?;
-            println!(
-                "\nplaced at position {} after {} question(s); updated configuration:\n",
-                result.position, result.questions
-            );
-            println!("{}", result.config);
-            Ok(())
+            place::<Acls>(base, target, entry, choose)
         }
         (PipelineOutcome::Punt { reason, llm_calls }, _) => Err(format!(
             "the synthesizer could not produce a verified result after {llm_calls} calls: {reason}"
@@ -640,6 +598,34 @@ fn run_ask(
             Err("that intent describes an ACL; use `clarify ask-acl`".to_string())
         }
     }
+}
+
+/// Places a synthesized rule into `target` with the §4 binary search,
+/// asking `choose` for every question, and prints the result.
+fn place<K: Placeable>(
+    base: &Config,
+    target: &str,
+    rule: K::Rule,
+    choose: &mut dyn FnMut() -> Choice,
+) -> Result<(), String> {
+    let mut oracle = FnOracle(|q: &K::Question| {
+        println!(
+            "The new {rule} interacts with existing {rule} {}. For this {input}:\n\n{q}\n",
+            q.pivot(),
+            rule = K::RULE,
+            input = K::INPUT,
+        );
+        choose()
+    });
+    let result = Disambiguator::new(PlacementStrategy::BinarySearch)
+        .place::<K>(base, target, rule, &mut oracle)
+        .map_err(|e| e.to_string())?;
+    println!(
+        "\nplaced at position {} after {} question(s); updated configuration:\n",
+        result.position, result.questions
+    );
+    println!("{}", result.config);
+    Ok(())
 }
 
 fn compare(args: &[String]) -> Result<(), String> {
@@ -720,217 +706,4 @@ fn chain(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Output formats shared by the single-file and topology lint paths.
-#[derive(Clone, Copy, PartialEq)]
-enum LintFormat {
-    Human,
-    Json,
-    Sarif,
-}
-
-/// The symbolic linter, sharing exit-status conventions with the
-/// standalone `lint` binary: 0 clean, 1 findings, 2 usage/parse errors.
-fn lint(args: &[String]) -> ExitCode {
-    let mut format = LintFormat::Human;
-    let mut no_suppress = false;
-    let mut topology: Option<String> = None;
-    let mut incremental: Option<String> = None;
-    let mut save_cache: Option<String> = None;
-    let mut paths: Vec<&str> = Vec::new();
-    let mut args_iter = args.iter();
-    while let Some(a) = args_iter.next() {
-        match a.as_str() {
-            "--json" => format = LintFormat::Json,
-            "--format" => {
-                format = match args_iter.next().map(String::as_str) {
-                    Some("human") => LintFormat::Human,
-                    Some("json") => LintFormat::Json,
-                    Some("sarif") => LintFormat::Sarif,
-                    _ => {
-                        eprintln!("error: --format takes human, json, or sarif\n\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--topology" => {
-                let Some(path) = args_iter.next() else {
-                    eprintln!("error: --topology takes a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                topology = Some(path.clone());
-            }
-            "--no-suppress" => no_suppress = true,
-            "--incremental" => {
-                let Some(path) = args_iter.next() else {
-                    eprintln!("error: --incremental takes a cache file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                incremental = Some(path.clone());
-            }
-            "--save-cache" => {
-                let Some(path) = args_iter.next() else {
-                    eprintln!("error: --save-cache takes a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                save_cache = Some(path.clone());
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("error: unknown lint option '{flag}'\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path => paths.push(path),
-        }
-    }
-    if let Some(topo) = &topology {
-        if !paths.is_empty() || incremental.is_some() || save_cache.is_some() {
-            eprintln!("error: --topology takes no config files and no cache options\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-        return lint_topology(topo, format, no_suppress);
-    }
-    if paths.is_empty() {
-        eprintln!("error: lint takes at least one config file\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if (incremental.is_some() || save_cache.is_some()) && paths.len() != 1 {
-        eprintln!("error: --incremental/--save-cache require exactly one config file\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    // Load the previous cache up front: a stale one (checksum or format
-    // mismatch) downgrades to a full lint with a warning — never to
-    // splicing findings that no longer match any configuration — while a
-    // corrupt file is a usage error.
-    let prev = match incremental {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match clarify::lint::LintCache::from_json(&text) {
-                Ok(cache) => Some(cache),
-                Err(clarify::lint::CacheError::Stale(m)) => {
-                    eprintln!("warning: {path}: stale lint cache ({m}); falling back to full lint");
-                    None
-                }
-                Err(clarify::lint::CacheError::Corrupt(m)) => {
-                    eprintln!("error: {path}: corrupt lint cache: {m}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-    let mut dirty = false;
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let parsed = Config::parse_with_spans(&text);
-        let (cfg, spans) = match parsed {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let result = match &prev {
-            Some(cache) => clarify::lint::lint_config_incremental(&cfg, Some(&spans), cache)
-                .map(|(report, _)| report),
-            None => clarify::lint::lint_config(&cfg, Some(&spans)),
-        };
-        let report = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(out) = &save_cache {
-            let cache = clarify::lint::LintCache::from_report(&cfg, &report);
-            if let Err(e) = std::fs::write(out, cache.to_json()) {
-                eprintln!("error: cannot write {out}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        // The cache above stores the unsuppressed report; suppressions
-        // only shape what this run prints.
-        let report = if no_suppress {
-            report
-        } else {
-            clarify::lint::apply_suppressions(report, &text)
-        };
-        match format {
-            LintFormat::Human => print!("{}", report.render_human(path)),
-            LintFormat::Json => print!("{}", report.render_json(path)),
-            LintFormat::Sarif => print!("{}", clarify::lint::render_sarif(&report, path)),
-        }
-        dirty |= !report.is_clean();
-    }
-    if dirty {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `clarify lint --topology`: parse and instantiate the topology (config
-/// paths resolve relative to the topology file), then run the
-/// cross-device linter.
-fn lint_topology(topo: &str, format: LintFormat, no_suppress: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(topo) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {topo}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let spec = match clarify::netsim::TopologySpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {topo}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let base = std::path::Path::new(topo)
-        .parent()
-        .unwrap_or_else(|| std::path::Path::new("."));
-    let loaded = match spec
-        .instantiate(&mut |p| std::fs::read_to_string(base.join(p)).map_err(|e| e.to_string()))
-    {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: {topo}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut linter = clarify::lint::NetworkLinter::new(&loaded);
-    if no_suppress {
-        linter = linter.no_suppress();
-    }
-    let report = match linter.lint() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {topo}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match format {
-        LintFormat::Human => print!("{}", report.render_human()),
-        LintFormat::Json => print!("{}", report.render_json()),
-        LintFormat::Sarif => print!("{}", clarify::lint::render_sarif_network(&report)),
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
