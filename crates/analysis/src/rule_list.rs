@@ -163,7 +163,7 @@ pub struct StanzaSnippet {
 
 impl StanzaSnippet {
     /// The snippet's single stanza.
-    pub fn stanza(&self) -> Result<&RouteMapStanza, ConfigError> {
+    pub(crate) fn stanza(&self) -> Result<&RouteMapStanza, ConfigError> {
         let map = self
             .config
             .route_map(&self.map)

@@ -26,7 +26,7 @@ pub struct SessionStats {
     pub punts: usize,
 }
 
-/// Result of one [`ClarifySession::add`] interaction.
+/// Result of one interaction that adds a synthesized rule to a list.
 #[derive(Clone, Debug)]
 pub enum AddOutcome<K: Placeable = RouteMaps> {
     /// The rule was synthesized, verified, and inserted.
@@ -135,7 +135,7 @@ impl<B: Backend> ClarifySession<B> {
     /// Synthesizes one rule of kind `K` from `prompt` and places it into
     /// the list `name` of `base`, creating the list when it does not exist
     /// yet. An intent of another kind is an error.
-    pub fn add<K: Placeable>(
+    fn add<K: Placeable>(
         &mut self,
         base: &Config,
         name: &str,

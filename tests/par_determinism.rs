@@ -31,8 +31,8 @@ fn lint_report_text() -> String {
 fn one_thread_and_eight_threads_are_byte_identical() {
     // Record throughout: metrics must be purely observational, so the
     // byte-identity contract has to hold with a live registry installed,
-    // not just with the disabled default. (This is the only test in the
-    // workspace that installs the global registry with the engine
+    // not just with the disabled default. (This is the only test in its
+    // test binary that installs the global registry with the engine
     // running; it owns the process-global set_threads override too.)
     clarify::obs::install(clarify::obs::Registry::new());
 
