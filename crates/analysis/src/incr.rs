@@ -1,29 +1,25 @@
-//! Keyed symbolic state for incremental re-analysis.
+//! Keys for incremental re-analysis, and the fire-set memo.
 //!
 //! The interactive loop of the paper (edit intent → re-verify → re-ask)
-//! re-runs the symbolic analyses after every small edit. This module keys
-//! the expensive artifacts — per-object fire-sets — by `(RuleId, content
-//! hash)` so an edit to one stanza invalidates only the object it touches,
-//! and a reverted edit (the A/B toggling a dialogue produces) hits the
-//! cache from an earlier generation outright.
+//! re-runs the symbolic analyses after every small edit. Incremental
+//! re-lint decides what to recompute from per-object content hashes plus
+//! [`atom_env_hash`], the one config-wide input a route-map's findings
+//! depend on; no symbolic state outlives a lint run.
 //!
-//! Refs stored here point into one specific space's BDD manager, which
-//! garbage-collects unrooted nodes at the
+//! [`FireSetCache`] memoises fire-sets within one
+//! [`NetworkSpace`](crate::NetworkSpace). Refs stored there point into
+//! that space's BDD manager, which garbage-collects unrooted nodes at the
 //! [`Manager::clear_op_caches`](clarify_bdd::Manager::clear_op_caches)
 //! seam — so every cached entry pins its refs with [`clarify_bdd::Root`]
 //! handles at insertion time, and they survive collection and reordering
-//! alike. A [`FireSetCache`] is sound exactly as long as its space lives;
-//! callers that rebuild a space (e.g. because the atom environment
-//! changed) must [`FireSetCache::clear`] the cache with it.
+//! alike.
 
 use std::collections::HashMap;
 
 use clarify_bdd::{Manager, Ref, Root};
-use clarify_netconfig::{fnv1a64_combine, Acl, Config, ObjectKind, PrefixList, RouteMap, RuleId};
+use clarify_netconfig::{fnv1a64_combine, Config, ObjectKind, RouteMap, RuleId};
 
 use crate::error::AnalysisError;
-use crate::filter_compare::PrefixSpace;
-use crate::packet_space::PacketSpace;
 use crate::route_space::RouteSpace;
 
 /// Hash of the **atom environment** a [`RouteSpace`] would build for the
@@ -83,40 +79,26 @@ struct CachedSets {
     roots: Vec<Root>,
 }
 
-/// A fire-set cache keyed by `(object identity, content hash)`.
+/// A fire-set cache keyed by `(object identity, hash)`: the per-run memo
+/// of a [`NetworkSpace`](crate::NetworkSpace), which asks for the same
+/// map's fire-sets once per topology edge it crosses.
 ///
-/// Keying by hash — not just identity — means a dirty object simply
-/// misses (its hash changed) while older generations stay retrievable:
-/// reverting an edit restores the old hash and hits again. Entries are
-/// never evicted except by [`invalidate`](FireSetCache::invalidate) or
-/// [`clear`](FireSetCache::clear); each entry roots its refs in the
-/// owning space's manager, so the cost of a stale generation is its
-/// pinned BDD nodes — bounded, in practice, by the handful of hashes an
-/// edit dialogue toggles between.
+/// Entries are never evicted; each roots its refs in the owning space's
+/// manager, so the cache lives and dies with that space.
 #[derive(Debug, Default)]
-pub struct FireSetCache {
+pub(crate) struct FireSetCache {
     entries: HashMap<(RuleId, u64), CachedSets>,
 }
 
 impl FireSetCache {
     /// An empty cache.
-    pub fn new() -> FireSetCache {
+    pub(crate) fn new() -> FireSetCache {
         FireSetCache::default()
     }
 
-    /// Number of cached generations (not distinct objects).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up the fire-sets of `id` at content hash `hash`, recording
+    /// Looks up the fire-sets of `id` at `hash`, recording
     /// `incr.cache_hits` / `incr.cache_misses`.
-    pub fn get(&self, id: &RuleId, hash: u64) -> Option<&FireSets> {
+    fn get(&self, id: &RuleId, hash: u64) -> Option<&FireSets> {
         let hit = self.entries.get(&(id.clone(), hash));
         if hit.is_some() {
             clarify_obs::global().counter("incr.cache_hits").incr();
@@ -126,10 +108,10 @@ impl FireSetCache {
         hit.map(|c| &c.sets)
     }
 
-    /// Stores the fire-sets of `id` at content hash `hash`, protecting
-    /// every ref in `mgr` — which must be the manager of the space that
-    /// built `sets` — so the entry survives collection and reordering.
-    pub fn insert(&mut self, mgr: &mut Manager, id: RuleId, hash: u64, sets: FireSets) {
+    /// Stores the fire-sets of `id` at `hash`, protecting every ref in
+    /// `mgr` — which must be the manager of the space that built `sets` —
+    /// so the entry survives collection and reordering.
+    fn insert(&mut self, mgr: &mut Manager, id: RuleId, hash: u64, sets: FireSets) {
         let roots = sets
             .fires
             .iter()
@@ -142,40 +124,12 @@ impl FireSetCache {
             }
         }
     }
-
-    /// Drops every cached generation of one object, releasing its roots
-    /// in `mgr` (the same manager the entries were inserted with).
-    pub fn invalidate(&mut self, mgr: &mut Manager, id: &RuleId) {
-        let gone: Vec<(RuleId, u64)> = self
-            .entries
-            .keys()
-            .filter(|(k, _)| k == id)
-            .cloned()
-            .collect();
-        for key in gone {
-            let cached = self.entries.remove(&key).expect("key just enumerated");
-            for root in cached.roots {
-                mgr.unprotect(root);
-            }
-        }
-    }
-
-    /// Drops everything — required whenever the owning space is rebuilt,
-    /// because cached Refs point into the old manager. The roots are
-    /// dropped without unprotecting: the old manager is going away with
-    /// its space, and a leaked root slot merely pins nodes for the
-    /// remainder of that manager's life (the safe failure mode).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 impl RouteSpace {
     /// [`RouteSpace::fire_sets`] through a [`FireSetCache`], keyed by the
-    /// map's object identity and `hash` (its content hash — the caller
-    /// computes it once per edit via
-    /// [`Config::object_hashes`](clarify_netconfig::Config::object_hashes)).
-    pub fn fire_sets_cached(
+    /// map's object identity and the caller's `hash`.
+    pub(crate) fn fire_sets_cached(
         &mut self,
         cache: &mut FireSetCache,
         cfg: &Config,
@@ -190,38 +144,5 @@ impl RouteSpace {
         let sets = FireSets { fires, remainder };
         cache.insert(self.manager(), id, hash, sets.clone());
         Ok(sets)
-    }
-}
-
-impl PacketSpace {
-    /// [`PacketSpace::fire_sets`] through a [`FireSetCache`].
-    pub fn fire_sets_cached(&mut self, cache: &mut FireSetCache, acl: &Acl, hash: u64) -> FireSets {
-        let id = RuleId::object(ObjectKind::Acl, &acl.name);
-        if let Some(sets) = cache.get(&id, hash) {
-            return sets.clone();
-        }
-        let (fires, remainder) = self.fire_sets(acl);
-        let sets = FireSets { fires, remainder };
-        cache.insert(self.manager(), id, hash, sets.clone());
-        sets
-    }
-}
-
-impl PrefixSpace {
-    /// [`PrefixSpace::fire_sets`] through a [`FireSetCache`].
-    pub fn fire_sets_cached(
-        &mut self,
-        cache: &mut FireSetCache,
-        list: &PrefixList,
-        hash: u64,
-    ) -> FireSets {
-        let id = RuleId::object(ObjectKind::PrefixList, &list.name);
-        if let Some(sets) = cache.get(&id, hash) {
-            return sets.clone();
-        }
-        let (fires, remainder) = self.fire_sets(list);
-        let sets = FireSets { fires, remainder };
-        cache.insert(self.manager(), id, hash, sets.clone());
-        sets
     }
 }

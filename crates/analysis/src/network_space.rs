@@ -26,7 +26,7 @@ use crate::error::AnalysisError;
 use crate::incr::FireSetCache;
 use crate::route_space::RouteSpace;
 
-/// A [`RouteSpace`] plus a private [`FireSetCache`], extended with policy
+/// A [`RouteSpace`] plus a private fire-set memo, extended with policy
 /// transfer functions. One instance serves a whole topology; build it from
 /// **every** config in the network so all policies share one atom
 /// environment.
@@ -225,8 +225,8 @@ impl NetworkSpace {
     /// Drops the manager's memoization tables between work items — and,
     /// since the route space arms auto-GC, lets the kernel collect
     /// unrooted nodes (or re-sift a degraded order) here. Cached fire-set
-    /// `Ref`s stay valid because the internal [`FireSetCache`] roots every
-    /// entry; any other ref held across this call does not survive.
+    /// `Ref`s stay valid because the internal memo roots every entry; any
+    /// other ref held across this call does not survive.
     pub fn clear_op_caches(&mut self) {
         self.space.manager().clear_op_caches();
     }

@@ -20,8 +20,8 @@ use clarify_nettypes::{BgpRoute, Packet, Prefix};
 
 use crate::{
     acl_overlaps, compare_filters, compare_prefix_lists, compare_route_policies,
-    route_map_overlaps, AnalysisError, FilterDiff, FireSetCache, PacketSpace, PrefixListDiff,
-    PrefixSpace, RouteDiff, RouteSpace,
+    route_map_overlaps, AnalysisError, FilterDiff, PacketSpace, PrefixListDiff, PrefixSpace,
+    RouteDiff, RouteSpace,
 };
 
 /// What the rule-list algorithms need from one kind of ordered
@@ -79,13 +79,11 @@ pub trait RuleList {
         cfg: &Config,
         list: &Self::List,
     ) -> Result<Vec<Ref>, AnalysisError>;
-    /// First-match firing regions per rule, through `cache` when given
-    /// (keyed by the list's identity and the caller's content hash).
+    /// First-match firing regions per rule.
     fn fire_sets(
         space: &mut Self::Space,
         cfg: &Config,
         list: &Self::List,
-        cache: Option<(&mut FireSetCache, u64)>,
     ) -> Result<Vec<Ref>, AnalysisError>;
     /// Decodes a concrete input from a region (`None` when empty).
     fn witness(
@@ -239,12 +237,8 @@ impl RuleList for RouteMaps {
         space: &mut RouteSpace,
         cfg: &Config,
         list: &RouteMap,
-        cache: Option<(&mut FireSetCache, u64)>,
     ) -> Result<Vec<Ref>, AnalysisError> {
-        Ok(match cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, cfg, list, hash)?.fires,
-            None => space.fire_sets(cfg, list)?.0,
-        })
+        Ok(space.fire_sets(cfg, list)?.0)
     }
     fn witness(space: &mut RouteSpace, region: Ref) -> Result<Option<BgpRoute>, AnalysisError> {
         space.witness(region)
@@ -389,12 +383,8 @@ impl RuleList for Acls {
         space: &mut PacketSpace,
         _cfg: &Config,
         list: &Acl,
-        cache: Option<(&mut FireSetCache, u64)>,
     ) -> Result<Vec<Ref>, AnalysisError> {
-        Ok(match cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, list, hash).fires,
-            None => space.fire_sets(list).0,
-        })
+        Ok(space.fire_sets(list).0)
     }
     fn witness(space: &mut PacketSpace, region: Ref) -> Result<Option<Packet>, AnalysisError> {
         Ok(space.witness(region))
@@ -529,12 +519,8 @@ impl RuleList for PrefixLists {
         space: &mut PrefixSpace,
         _cfg: &Config,
         list: &PrefixList,
-        cache: Option<(&mut FireSetCache, u64)>,
     ) -> Result<Vec<Ref>, AnalysisError> {
-        Ok(match cache {
-            Some((cache, hash)) => space.fire_sets_cached(cache, list, hash).fires,
-            None => space.fire_sets(list).0,
-        })
+        Ok(space.fire_sets(list).0)
     }
     fn witness(space: &mut PrefixSpace, region: Ref) -> Result<Option<Prefix>, AnalysisError> {
         Ok(space.witness(region))

@@ -3,11 +3,13 @@
 
 use std::collections::BTreeSet;
 
-use clarify_analysis::{Acls, AnalysisError, FireSetCache, PrefixLists, RouteMaps, RuleList};
+use clarify_analysis::{Acls, AnalysisError, PrefixLists, RouteMaps, RuleList};
 use clarify_bdd::Ref;
 use clarify_netconfig::{Action, Config, ObjectKind, RuleId, SourceMap};
 
+use crate::cache::LintCache;
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
+use crate::incremental::{dirty_sets, DirtySets, IncrStats};
 
 /// `permit`/`deny` as a present-tense verb for diagnostic messages.
 fn verb(a: Action) -> &'static str {
@@ -28,42 +30,124 @@ fn verb(a: Action) -> &'static str {
 /// passes (their match conditions cannot be encoded).
 pub fn lint_config(cfg: &Config, spans: Option<&SourceMap>) -> Result<LintReport, AnalysisError> {
     let _span = clarify_obs::span!("lint_config");
+    Ok(lint_run(cfg, spans, None)?.0)
+}
+
+/// The one lint driver behind [`lint_config`],
+/// [`lint_config_incremental`](crate::lint_config_incremental) and
+/// [`IncrementalLinter`](crate::IncrementalLinter).
+///
+/// With `prev = None` every object is dirty (a full lint); otherwise the
+/// dirty sets of the edit against `prev` are recomputed and every clean
+/// object splices its cached diagnostics. Either way: the reference pass,
+/// the symbolic pass per kind (fanned out by [`lint_lists`]), the splice
+/// in canonical order, source lines re-applied from `spans`, the sort,
+/// and the counters — `incr.*` only on incremental runs.
+pub(crate) fn lint_run(
+    cfg: &Config,
+    spans: Option<&SourceMap>,
+    prev: Option<&LintCache>,
+) -> Result<(LintReport, IncrStats), AnalysisError> {
+    let dirty = match prev {
+        Some(prev) => dirty_sets(cfg, prev),
+        None => DirtySets::all(cfg),
+    };
     let mut report = LintReport::default();
     let broken_maps = {
         let _pass = clarify_obs::span!("lint_references");
         lint_references(cfg, &mut report.diagnostics)
     };
-    {
+    let fresh_maps = {
         let _pass = clarify_obs::span!("lint_route_maps");
-        for (_, diags) in lint_lists::<RouteMaps>(cfg, &broken_maps, None)? {
-            report.diagnostics.extend(diags);
-        }
-    }
-    {
+        lint_lists::<RouteMaps>(cfg, &broken_maps, &dirty.route_maps)?
+    };
+    let fresh_acls = {
         let _pass = clarify_obs::span!("lint_acls");
-        for (_, diags) in lint_lists::<Acls>(cfg, &BTreeSet::new(), None)? {
-            report.diagnostics.extend(diags);
-        }
-    }
-    {
+        lint_lists::<Acls>(cfg, &BTreeSet::new(), &dirty.acls)?
+    };
+    let fresh_lists = {
         let _pass = clarify_obs::span!("lint_prefix_lists");
-        for (_, diags) in lint_lists::<PrefixLists>(cfg, &BTreeSet::new(), None)? {
-            report.diagnostics.extend(diags);
-        }
-    }
+        lint_lists::<PrefixLists>(cfg, &BTreeSet::new(), &dirty.prefix_lists)?
+    };
+    let out = &mut report.diagnostics;
+    splice(
+        cfg.route_maps.keys(),
+        ObjectKind::RouteMap,
+        &dirty.route_maps,
+        fresh_maps,
+        prev,
+        out,
+    );
+    splice(
+        cfg.acls.keys(),
+        ObjectKind::Acl,
+        &dirty.acls,
+        fresh_acls,
+        prev,
+        out,
+    );
+    splice(
+        cfg.prefix_lists.keys(),
+        ObjectKind::PrefixList,
+        &dirty.prefix_lists,
+        fresh_lists,
+        prev,
+        out,
+    );
+
     if let Some(spans) = spans {
         for d in &mut report.diagnostics {
             d.line = spans.line(&d.rule);
         }
     }
     let report = report.finish();
+
+    let total = cfg.route_maps.len() + cfg.acls.len() + cfg.prefix_lists.len();
+    let dirty_count = dirty.route_maps.len() + dirty.acls.len() + dirty.prefix_lists.len();
+    let stats = IncrStats {
+        total_objects: total,
+        dirty_objects: dirty_count,
+        reused_objects: total - dirty_count,
+    };
     let obs = clarify_obs::global();
     obs.counter("lint.configs_linted").incr();
     for d in &report.diagnostics {
         obs.counter(&format!("lint.findings.{}", d.code.code()))
             .incr();
     }
-    Ok(report)
+    if prev.is_some() {
+        obs.counter("incr.objects_dirty")
+            .add(stats.dirty_objects as u64);
+        obs.counter("incr.objects_reused")
+            .add(stats.reused_objects as u64);
+    }
+    Ok((report, stats))
+}
+
+/// Splices one kind's diagnostics: fresh blocks for dirty objects, cached
+/// blocks (from `prev`) for clean ones, in the kind's canonical (name)
+/// order — the same insertion order a full lint produces, which
+/// [`LintReport`]'s stable sort relies on to break ties.
+fn splice<'a>(
+    names: impl Iterator<Item = &'a String>,
+    kind: ObjectKind,
+    dirty: &BTreeSet<String>,
+    fresh: Vec<(String, Vec<Diagnostic>)>,
+    prev: Option<&LintCache>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut fresh = fresh.into_iter().peekable();
+    for name in names {
+        if dirty.contains(name) {
+            // Broken (dangling-reference) maps are dirty but skipped by
+            // the symbolic pass, so they may have no fresh block.
+            if fresh.peek().is_some_and(|(n, _)| n == name) {
+                out.extend(fresh.next().expect("peeked").1);
+            }
+        } else if let Some(obj) = prev.and_then(|prev| prev.object(kind, name)) {
+            out.extend(obj.diagnostics.iter().cloned());
+        }
+    }
 }
 
 /// The AST walk: dangling references (error) and unused lists (note).
@@ -148,20 +232,17 @@ pub(crate) fn lint_references(cfg: &Config, out: &mut Vec<Diagnostic>) -> BTreeS
 /// as a serial loop would emit them, and canonicity makes the
 /// worker-local spaces answer identically to one shared space.
 ///
-/// Lists named in `skip` are left out (route-maps with dangling
-/// references cannot be encoded). With `only = Some(names)` the pass is
-/// restricted to those lists — the incremental driver's dirty subset.
-/// Returns one `(name, diagnostics)` block per linted list, in iteration
-/// order.
-pub(crate) fn lint_lists<K: RuleList>(
+/// Only the lists named in `dirty` are linted, less those in `skip`
+/// (route-maps with dangling references cannot be encoded). Returns one
+/// `(name, diagnostics)` block per linted list, in iteration order.
+fn lint_lists<K: RuleList>(
     cfg: &Config,
     skip: &BTreeSet<String>,
-    only: Option<&BTreeSet<String>>,
+    dirty: &BTreeSet<String>,
 ) -> Result<Vec<(String, Vec<Diagnostic>)>, AnalysisError> {
     let lists: Vec<(&String, &K::List)> = K::lists(cfg)
         .iter()
-        .filter(|(name, _)| !skip.contains(*name))
-        .filter(|(name, _)| only.is_none_or(|set| set.contains(*name)))
+        .filter(|(name, _)| dirty.contains(*name) && !skip.contains(*name))
         .collect();
     if lists.is_empty() {
         return Ok(Vec::new());
@@ -175,7 +256,7 @@ pub(crate) fn lint_lists<K: RuleList>(
                 None => worker_space.insert(K::new_space(cfg, None)?),
             };
             let mut diags = Vec::new();
-            lint_list::<K>(space, cfg, name, list, None, &mut diags)?;
+            lint_list::<K>(space, cfg, name, list, &mut diags)?;
             // Bound cache growth across a long object list: the memo
             // entries for this list's queries are dead weight for the next.
             K::manager(space).clear_op_caches();
@@ -191,22 +272,16 @@ pub(crate) fn lint_lists<K: RuleList>(
 
 /// The per-object body of [`lint_lists`]: empty (L004), shadowed (L001),
 /// redundant (L002) and conflicting-overlap (L003) checks for one list.
-///
-/// `fire_cache` routes the fire-set build through a keyed
-/// [`FireSetCache`] (the `(RuleId, content-hash)` key makes reverted
-/// edits hit older generations); `None` computes them directly, as the
-/// parallel full pass does with its worker-local spaces.
 pub(crate) fn lint_list<K: RuleList>(
     space: &mut K::Space,
     cfg: &Config,
     name: &str,
     list: &K::List,
-    fire_cache: Option<(&mut FireSetCache, u64)>,
     out: &mut Vec<Diagnostic>,
 ) -> Result<(), AnalysisError> {
     let valid = K::valid(space);
     let match_sets = K::match_sets(space, cfg, list)?;
-    let fires = K::fire_sets(space, cfg, list, fire_cache)?;
+    let fires = K::fire_sets(space, cfg, list)?;
     // Empty and shadowed rules. A rule with an empty match also has an
     // empty firing region; report it once, as empty.
     let mut dead: BTreeSet<usize> = BTreeSet::new();

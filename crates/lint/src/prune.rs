@@ -40,7 +40,7 @@ pub fn prune_insertion_candidates<K: RuleList>(
     s_star: Ref,
     candidates: &[usize],
 ) -> Result<PruneOutcome, AnalysisError> {
-    let fires = K::fire_sets(space, cfg, list, None)?;
+    let fires = K::fire_sets(space, cfg, list)?;
     let mgr = K::manager(space);
     let mut out = PruneOutcome::default();
     for &i in candidates {

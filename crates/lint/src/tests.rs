@@ -516,7 +516,7 @@ ip access-list extended FW
     }
 
     #[test]
-    fn session_relint_matches_full_and_reuses_spaces() {
+    fn session_relint_matches_full_across_edit_and_revert() {
         let (base, base_spans) = Config::parse_with_spans(BASE).unwrap();
         let (mut session, first) = IncrementalLinter::new(base, Some(&base_spans)).unwrap();
         let (base2, base_spans2) = Config::parse_with_spans(BASE).unwrap();
@@ -533,8 +533,9 @@ ip access-list extended FW
         assert_eq!(incr.render_json("x"), full.render_json("x"));
         assert_eq!(stats.dirty_objects, 1);
 
-        // Revert the edit: dirty again (hash changed back), and the keyed
-        // fire-set cache serves the original generation.
+        // Revert the edit: the object is dirty again (its hash changed
+        // back) and is recomputed from scratch, byte-identical to the
+        // original lint.
         let (reverted, reverted_spans) = Config::parse_with_spans(BASE).unwrap();
         let full = lint_config(&reverted, Some(&reverted_spans)).unwrap();
         let (incr, _) = session.relint(reverted, Some(&reverted_spans)).unwrap();
@@ -794,7 +795,6 @@ route-map RM permit 30
             &cfg,
             "RM",
             &map,
-            None,
             &mut before,
         )
         .unwrap();
@@ -811,7 +811,7 @@ route-map RM permit 30
 
         let mut after = Vec::new();
         crate::linter::lint_list::<clarify_analysis::RouteMaps>(
-            &mut space, &cfg, "RM", &map, None, &mut after,
+            &mut space, &cfg, "RM", &map, &mut after,
         )
         .unwrap();
         assert_eq!(before, after, "diagnostics changed across reorder");

@@ -1,9 +1,10 @@
 //! Per-session state and turn handling.
 //!
-//! A *config session* holds one configuration plus warm symbolic state:
-//! a [`RouteSpace`] keyed by atom-environment hash, a [`PacketSpace`]
-//! (whose layout never depends on the config), and an
-//! [`IncrementalLinter`] for `lint` turns. An `ask` turn runs the LLM
+//! A *config session* holds one configuration plus warm state: a
+//! [`RouteSpace`] keyed by atom-environment hash and a [`PacketSpace`]
+//! (whose layout never depends on the config) for `ask` turns, and an
+//! [`IncrementalLinter`] holding the previous lint's findings for `lint`
+//! turns. An `ask` turn runs the LLM
 //! pipeline once and precomputes an insertion plan
 //! ([`clarify_core::InsertionPlan`]); every subsequent `answer` turn is a
 //! pure in-memory replay — no symbolic recompute — so turn latency after
@@ -154,7 +155,9 @@ pub struct ConfigSession {
     /// Warm packet space: its variable layout is config-independent, so
     /// it lives for the whole session.
     packet_space: PacketSpace,
-    /// Warm lint session (retains spaces + fire-set caches across turns).
+    /// The lint session after the first `lint` turn: it holds that run's
+    /// findings, so each later `lint` recomputes only the objects the
+    /// commits since then dirtied.
     linter: Option<IncrementalLinter>,
     pending: Option<Pending>,
 }

@@ -1,4 +1,4 @@
-//! Differential suite for the incremental re-lint engine (ISSUE tentpole).
+//! Differential suite for the incremental re-lint engine.
 //!
 //! Property: starting from a workload-generated configuration, apply a
 //! random sequence of structural edits (insert / delete / mutate stanzas
@@ -7,8 +7,8 @@
 //! byte-for-byte identical JSON:
 //!
 //! 1. a cold full `lint_config` of the edited configuration (the oracle);
-//! 2. the stateful [`IncrementalLinter`] session carried across the whole
-//!    edit sequence (retained BDD spaces + keyed fire-set caches);
+//! 2. the [`IncrementalLinter`] session carried across the whole edit
+//!    sequence (it holds the previous run's [`LintCache`] in memory);
 //! 3. the one-shot `lint_config_incremental` chained through the
 //!    serialized [`LintCache`] JSON — round-tripping the cache through its
 //!    on-disk format at every step, exactly as `--incremental` does.
@@ -24,7 +24,7 @@
 //!
 //! Everything runs in ONE test function because the thread-count override
 //! is process-global: the sequence is checked serially (threads = 1) and
-//! then with an 8-worker pool, since the one-shot path fans the dirty
+//! then with an 8-worker pool, since both incremental paths fan the dirty
 //! subset out through `clarify-par` exactly like the full lint.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
